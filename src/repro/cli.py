@@ -205,21 +205,16 @@ def _cmd_tariffs(args: argparse.Namespace) -> int:
 
 
 def _cmd_solvers(args: argparse.Namespace) -> int:
-    """List the registered solver backends with capability flags."""
+    """List the registered solver backends and what each one solves."""
     from .solver.registry import available_backends, backend_spec
 
     names = available_backends()
     width = max(len(n) for n in names)
-    flag_names = ("milp", "warm_start", "sparse", "dispatch")
-    rows = []
+    print(f"{'backend':<{width}}  {'solves':<8}  description")
     for name in names:
         spec = backend_spec(name)
-        flags = ",".join(f for f in flag_names if getattr(spec, f)) or "-"
-        rows.append((name, flags, spec.description))
-    fwidth = max(len(f) for _, f, _ in rows)
-    print(f"{'backend':<{width}}  {'capabilities':<{fwidth}}  description")
-    for name, flags, desc in rows:
-        print(f"{name:<{width}}  {flags:<{fwidth}}  {desc}")
+        solves = "dispatch" if spec.dispatch else "model"
+        print(f"{name:<{width}}  {solves:<8}  {spec.description}")
     return 0
 
 
@@ -1262,8 +1257,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.set_defaults(func=_cmd_serve)
 
+    solvers_help = (
+        "list the registered MILP backends; 'model' ones solve any "
+        "compiled model, 'dispatch' ones only the optimizers' site hours"
+    )
     p_sol = sub.add_parser(
-        "solvers", help="list the registered solver backends"
+        "solvers", help=solvers_help, description=solvers_help
     )
     p_sol.set_defaults(func=_cmd_solvers)
 

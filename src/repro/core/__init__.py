@@ -19,7 +19,6 @@ from .cost_min import CostMinimizer
 from .decomposition import (
     DecompositionOutcome,
     DecompositionSolver,
-    decomposition_auto_sites,
     partition_market_regions,
 )
 from .dispatch_model import (
@@ -59,7 +58,6 @@ __all__ = [
     "MinOnlyCache",
     "DecompositionSolver",
     "DecompositionOutcome",
-    "decomposition_auto_sites",
     "partition_market_regions",
     "CostMinimizer",
     "ThroughputMaximizer",

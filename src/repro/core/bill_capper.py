@@ -64,7 +64,7 @@ class BillCapper:
         realized spending under the true budget.
     degradation:
         When set, a :class:`~repro.solver.SolverError` escaping the
-        whole solver stack (past the fallback chain) no longer
+        whole solver stack (past the HiGHS retry) no longer
         propagates: the hour is dispatched by this
         :class:`~repro.resilience.DegradationPolicy` instead, marked
         :attr:`~repro.core.allocation.CappingStep.DEGRADED`. ``None``

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 from ..solver import InfeasibleError, SolveResult
 from .allocation import Allocation, CappingStep, HourlyDecision
-from .decomposition import DecompositionSolver, decomposition_auto_sites
+from . import decomposition
+from .decomposition import DecompositionSolver
 from .dispatch_model import RATE_SCALE, build_dispatch_model
 from .model_cache import DispatchModelCache
 from .site import SiteHour
@@ -50,7 +51,7 @@ def _use_decomposition(
     return (
         backend is None
         and solver_backend is None
-        and n_sites >= decomposition_auto_sites()
+        and n_sites >= decomposition.DECOMP_AUTO_SITES
     )
 
 
@@ -75,7 +76,7 @@ class CostMinimizer:
         ``"decomposition"`` routes fleets through the region-decomposed
         solver (:mod:`repro.core.decomposition`) with monolithic
         fallback; with no backend selected at all, decomposition
-        auto-activates at ``decomposition_auto_sites()`` sites.
+        auto-activates at ``decomposition.DECOMP_AUTO_SITES`` sites.
     step_margin_frac:
         Safety margin below price breakpoints as a fraction of each
         site's reachable power (guards against the smooth decision

@@ -36,7 +36,6 @@ HourlyDecision`, so no dense array ever scales with fleet size.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,20 +57,14 @@ __all__ = [
     "DecompositionSolver",
     "DecompositionOutcome",
     "partition_market_regions",
-    "decomposition_auto_sites",
     "DECOMP_AUTO_SITES",
 ]
 
 _FEAS_TOL = 1e-9
 
 #: Fleets at or above this many sites route through the decomposition
-#: automatically (override with ``REPRO_DECOMP_AUTO_SITES``).
+#: automatically. Read at call time, so it can be patched on this module.
 DECOMP_AUTO_SITES = 100
-
-
-def decomposition_auto_sites() -> int:
-    """The auto-activation fleet size, honoring the env override."""
-    return int(os.environ.get("REPRO_DECOMP_AUTO_SITES", DECOMP_AUTO_SITES))
 
 
 def partition_market_regions(

@@ -31,7 +31,6 @@ SciPy solves, is pinned by ``tests/core/test_model_cache.py``.
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -199,11 +198,9 @@ class DispatchModelCache:
     #: through every optimizer constructor.
     default_use_enum_kernel = True
 
-    def __init__(self, maxsize: int | None = None,
+    def __init__(self, maxsize: int = 32,
                  use_enum_kernel: bool | None = None,
                  solver_backend: str | None = None):
-        if maxsize is None:
-            maxsize = int(os.environ.get("REPRO_MODEL_CACHE_SIZE", "32"))
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = maxsize

@@ -49,7 +49,7 @@ class FaultSpec:
         The background-demand sensors dropped out: the dispatcher sees
         the previous hour's background demand under current prices.
     solver_error:
-        The whole solver stack (past the fallback chain) raises.
+        The whole solver stack (past the HiGHS retry) raises.
     solver_timeout:
         The solver stack exceeds its time/node limits and gives up.
     budget_loss:

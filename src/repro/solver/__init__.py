@@ -11,8 +11,8 @@ Public API:
   (pure-NumPy LP engine), :class:`RevisedSimplexSolver` (factorized
   basis + sparse pricing, for 100+-site fleets);
 * Registry: :func:`register_backend` / :func:`get_backend` /
-  :func:`available_backends` — named backend factories with capability
-  flags, the resolution point for ``--solver-backend``;
+  :func:`available_backends` — named backend factories, the resolution
+  point for ``--solver-backend``;
 * Errors: :class:`SolverError` and friends.
 """
 
@@ -34,10 +34,7 @@ from .model import (
     VarType,
     quicksum,
 )
-from .cuts import CoverCut, apply_cuts, find_cover_cuts
-from .fallback import FallbackBackend
 from .lp_format import model_to_lp_string, parse_lp_string, read_lp, write_lp
-from .presolve import PresolveReport, PresolvingBackend, presolve
 from .registry import (
     BackendSpec,
     available_backends,
@@ -82,13 +79,6 @@ __all__ = [
     "InfeasibleError",
     "UnboundedError",
     "SolverLimitError",
-    "presolve",
-    "PresolveReport",
-    "PresolvingBackend",
-    "FallbackBackend",
-    "CoverCut",
-    "find_cover_cuts",
-    "apply_cuts",
     "write_lp",
     "read_lp",
     "model_to_lp_string",

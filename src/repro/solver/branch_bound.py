@@ -109,8 +109,6 @@ class BranchBoundSolver:
         int_tol: float = 1e-6,
         rel_gap: float = 1e-9,
         max_nodes: int = 100_000,
-        cover_cuts: bool = False,
-        cut_rounds: int = 3,
         warm_start: bool = True,
     ):
         if lp_solver is None:
@@ -121,8 +119,6 @@ class BranchBoundSolver:
         self.int_tol = int_tol
         self.rel_gap = rel_gap
         self.max_nodes = max_nodes
-        self.cover_cuts = cover_cuts
-        self.cut_rounds = cut_rounds
         self.warm_start = warm_start
         self._root_warm = None  # last root basis, reused across solves
 
@@ -163,9 +159,6 @@ class BranchBoundSolver:
     def _solve_milp(
         self, sf: StandardForm, stats: _BBStats, warm_x: np.ndarray | None = None
     ) -> SolveResult:
-        if self.cover_cuts:
-            sf = self._tighten_root(sf)
-
         int_idx = np.flatnonzero(sf.integrality)
         use_warm = self.warm_start and hasattr(self.lp, "solve_warm")
         tie = itertools.count()
@@ -310,26 +303,6 @@ class BranchBoundSolver:
         if not res.ok:
             return None
         return float(res.objective), self._round_integers(res.x, int_idx)
-
-    def _tighten_root(self, sf: StandardForm) -> StandardForm:
-        """Root-node cover-cut rounds: separate, append, re-solve.
-
-        Cover inequalities never exclude integer points, so the MILP's
-        optimum is unchanged; they cut fractional LP vertices, which
-        raises the root bound and shrinks the tree (tested on knapsack
-        families). Bounded by ``cut_rounds`` rounds.
-        """
-        from .cuts import apply_cuts, find_cover_cuts
-
-        for _ in range(self.cut_rounds):
-            relax = self.lp.solve(sf)
-            if not relax.ok:
-                return sf  # infeasible/unbounded roots handled downstream
-            cuts = find_cover_cuts(sf, relax.x)
-            if not cuts:
-                break
-            sf = apply_cuts(sf, cuts)
-        return sf
 
     def _abs_gap(self, incumbent: float) -> float:
         if not math.isfinite(incumbent):

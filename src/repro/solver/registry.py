@@ -1,26 +1,18 @@
 """Pluggable solver-backend registry (the pyomo ``SolverFactory`` pattern).
 
-Every LP/MILP engine the repo can run — SciPy/HiGHS, the own
-branch-and-bound over either simplex, the presolving and fallback-chain
-wrappers, and the dual-decomposition dispatch path — is a named factory
-here, exactly as dispatch strategies are named factories in
-:mod:`repro.sim.registry`. All entry points (``Model.solve``, the
-compiled-model caches, ``repro run --solver-backend``, ``repro
-serve --solver-backend``, ``repro solvers``) resolve backends through
-this module, so adding an engine is one :func:`register_backend` call
-instead of an ``if/elif`` chain per call site.
+Every MILP engine the repo runs — SciPy/HiGHS, the own
+branch-and-bound over HiGHS LP nodes or either simplex, and the
+dual-decomposition dispatch path — is a named factory here, exactly as
+dispatch strategies are named factories in :mod:`repro.sim.registry`.
+All entry points (``Model.solve``, the compiled-model caches, ``repro
+run --solver-backend``, ``repro serve --solver-backend``, ``repro
+solvers``) resolve backends through this module, so adding an engine is
+one :func:`register_backend` call instead of an ``if/elif`` chain per
+call site.
 
-Each registration carries *capability flags* so callers can check what
-they are getting before they depend on it:
+Every built-in backend solves mixed-integer programs exactly. One
+flag tells callers what they can hand it:
 
-``milp``
-    Solves mixed-integer programs (otherwise LP relaxations only).
-``warm_start``
-    Supports ``solve_warm`` basis reuse across structurally similar
-    solves (the hourly hot path).
-``sparse``
-    Prices columns sparsely / factorizes the basis instead of carrying
-    a dense tableau — the large-fleet engines.
 ``dispatch``
     Operates on the *dispatch problem* (site hours) rather than a
     compiled :class:`~repro.solver.model.StandardForm`; such backends
@@ -44,13 +36,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BackendSpec:
-    """One registered solver backend: factory plus capability flags."""
+    """One registered solver backend: factory plus its ``dispatch`` flag."""
 
     name: str
     factory: Callable[..., object]
-    milp: bool = False
-    warm_start: bool = False
-    sparse: bool = False
     dispatch: bool = False
     description: str = ""
 
@@ -81,11 +70,6 @@ def _ensure_builtins() -> None:
 
         return ScipyBackend(**kw)
 
-    def scipy_lp_factory(**kw):
-        from .scipy_backend import ScipyLpBackend
-
-        return ScipyLpBackend(**kw)
-
     def branch_bound_factory(**kw):
         from .branch_bound import BranchBoundSolver
 
@@ -103,56 +87,30 @@ def _ensure_builtins() -> None:
 
         return BranchBoundSolver(lp_solver=RevisedSimplexSolver(), **kw)
 
-    def presolve_factory(**kw):
-        from .presolve import PresolvingBackend
-
-        return PresolvingBackend(**kw)
-
-    def fallback_factory(**kw):
-        from .branch_bound import BranchBoundSolver
-        from .fallback import FallbackBackend
-        from .scipy_backend import ScipyBackend
-
-        return FallbackBackend(ScipyBackend(), BranchBoundSolver(), **kw)
-
     def decomposition_factory(**kw):
         from ..core.decomposition import DecompositionSolver
 
         return DecompositionSolver(**kw)
 
     register_backend(
-        "scipy", scipy_factory, milp=True,
+        "scipy", scipy_factory,
         description="SciPy HiGHS (milp/linprog); the external reference",
     )
     register_backend(
-        "scipy-lp", scipy_lp_factory,
-        description="SciPy HiGHS linprog; LP relaxations with duals",
-    )
-    register_backend(
-        "branch-bound", branch_bound_factory, milp=True, warm_start=True,
+        "branch-bound", branch_bound_factory,
         description="own best-first B&B over HiGHS LP nodes",
     )
     register_backend(
-        "simplex", simplex_factory, milp=True, warm_start=True,
+        "simplex", simplex_factory,
         description="own B&B over the dense-tableau NumPy simplex",
     )
     register_backend(
-        "revised-simplex", revised_simplex_factory, milp=True,
-        warm_start=True, sparse=True,
+        "revised-simplex", revised_simplex_factory,
         description="own B&B over the sparse-pricing revised simplex "
         "(factorized basis; built for 100+ site fleets)",
     )
     register_backend(
-        "presolve", presolve_factory, milp=True,
-        description="bound-tightening presolve in front of HiGHS",
-    )
-    register_backend(
-        "fallback", fallback_factory, milp=True,
-        description="HiGHS with automatic failover to the own B&B",
-    )
-    register_backend(
-        "decomposition", decomposition_factory, milp=True, warm_start=True,
-        sparse=True, dispatch=True,
+        "decomposition", decomposition_factory, dispatch=True,
         description="dual decomposition across market regions "
         "(exact region subproblems, gap-checked, monolithic fallback)",
     )
@@ -162,14 +120,11 @@ def register_backend(
     name: str,
     factory: Callable[..., object],
     *,
-    milp: bool = False,
-    warm_start: bool = False,
-    sparse: bool = False,
     dispatch: bool = False,
     description: str = "",
     replace: bool = False,
 ) -> None:
-    """Register ``factory`` under ``name`` with its capability flags.
+    """Register ``factory`` under ``name``.
 
     ``factory(**kwargs)`` must return a fresh backend object — for
     standard-form backends, anything with ``solve(StandardForm) ->
@@ -190,9 +145,6 @@ def register_backend(
     _SPECS[name] = BackendSpec(
         name=name,
         factory=factory,
-        milp=milp,
-        warm_start=warm_start,
-        sparse=sparse,
         dispatch=dispatch,
         description=description,
     )

@@ -26,7 +26,6 @@ pricing_passes`` counts full reduced-cost sweeps.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,12 +46,12 @@ __all__ = [
 _INF = float("inf")
 
 #: Above this many dense-tableau cells the revised engine is picked by
-#: :func:`lp_solver_for_size` (override with ``REPRO_DENSE_TABLEAU_CELLS``).
+#: :func:`lp_solver_for_size` (pass ``cell_limit=`` to override).
 DENSE_TABLEAU_CELL_LIMIT = 4_000_000
 
 
 def lp_solver_for_size(
-    n_vars: int, n_rows: int, cell_limit: int | None = None
+    n_vars: int, n_rows: int, cell_limit: int = DENSE_TABLEAU_CELL_LIMIT
 ) -> SimplexSolver:
     """Pick the LP engine for a model of the given (pre-reduction) size.
 
@@ -64,10 +63,6 @@ def lp_solver_for_size(
     the factorized/sparse engine takes over. The 3–13-site dispatch
     models stay dense; 100+-site fleets go revised.
     """
-    if cell_limit is None:
-        cell_limit = int(
-            os.environ.get("REPRO_DENSE_TABLEAU_CELLS", DENSE_TABLEAU_CELL_LIMIT)
-        )
     m = n_rows + n_vars
     cells = m * (n_vars + m + 1)
     if cells > cell_limit:

@@ -16,10 +16,10 @@ from repro.core import (
     CostMinimizer,
     SiteHour,
     ThroughputMaximizer,
-    decomposition_auto_sites,
+    decomposition,
     partition_market_regions,
 )
-from repro.core.decomposition import DECOMP_AUTO_SITES, DecompositionSolver
+from repro.core.decomposition import DecompositionSolver
 from repro.core.enum_kernel import site_choices
 from repro.datacenter import AffinePower
 from repro.powermarket import SteppedPricingPolicy
@@ -210,13 +210,8 @@ class TestThroughputMaxEquivalence:
 
 
 class TestActivationAndTelemetry:
-    def test_auto_sites_env_override(self, monkeypatch):
-        assert decomposition_auto_sites() == DECOMP_AUTO_SITES
-        monkeypatch.setenv("REPRO_DECOMP_AUTO_SITES", "17")
-        assert decomposition_auto_sites() == 17
-
     def test_auto_activation_above_threshold(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DECOMP_AUTO_SITES", "10")
+        monkeypatch.setattr(decomposition, "DECOMP_AUTO_SITES", 10)
         rng = np.random.default_rng(31)
         hours = grouped_hours(rng, 30)
         lam = 0.5 * sum(sh.max_rate_rps for sh in hours)

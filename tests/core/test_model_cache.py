@@ -254,14 +254,10 @@ class TestCacheBookkeeping:
 
 
 class TestCacheConfig:
-    def test_env_var_sets_default_capacity(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MODEL_CACHE_SIZE", "3")
-        assert DispatchModelCache().maxsize == 3
-        # An explicit constructor arg always wins over the environment.
+    def test_constructor_sets_capacity(self):
         assert DispatchModelCache(maxsize=7).maxsize == 7
 
-    def test_default_capacity_without_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MODEL_CACHE_SIZE", raising=False)
+    def test_default_capacity_without_env(self):
         assert DispatchModelCache().maxsize == 32
 
     def test_eviction_counter(self):

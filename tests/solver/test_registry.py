@@ -1,4 +1,4 @@
-"""The solver-backend registry: round-trips, flags, and error surface."""
+"""The solver-backend registry: round-trips, the dispatch flag, errors."""
 
 import numpy as np
 import pytest
@@ -10,37 +10,48 @@ from repro.solver import (
     get_backend,
     register_backend,
 )
+from repro.solver import registry
 from repro.solver.registry import BackendSpec
+
+
+@pytest.fixture(autouse=True)
+def _restore_registry():
+    """Drop the test backends each test registers, so none leaks out."""
+    available_backends()  # load the builtins before taking the snapshot
+    before = dict(registry._SPECS)
+    yield
+    registry._SPECS.clear()
+    registry._SPECS.update(before)
 
 
 class TestBuiltins:
     def test_builtin_names_present(self):
-        names = available_backends()
-        for expected in (
-            "scipy", "scipy-lp", "branch-bound", "simplex",
-            "revised-simplex", "presolve", "fallback", "decomposition",
-        ):
-            assert expected in names
-        assert list(names) == sorted(names)
+        assert available_backends() == (
+            "branch-bound", "decomposition", "revised-simplex", "scipy",
+            "simplex",
+        )
 
     def test_capability_flags(self):
-        assert backend_spec("scipy").milp
-        assert not backend_spec("scipy-lp").milp
-        rs = backend_spec("revised-simplex")
-        assert rs.milp and rs.warm_start and rs.sparse and not rs.dispatch
-        dec = backend_spec("decomposition")
-        assert dec.dispatch and dec.sparse
+        assert backend_spec("decomposition").dispatch
+        for name in ("scipy", "branch-bound", "simplex", "revised-simplex"):
+            assert not backend_spec(name).dispatch, name
 
     def test_builtin_instances_solve(self):
-        # Every non-dispatch builtin must solve a tiny MILP/LP correctly.
-        m = Model("t")
-        x = m.var("x", ub=4.0)
-        y = m.var("y", ub=3.0)
-        m.add(x + y <= 5.0)
-        m.maximize(2.0 * x + y)
-        for name in ("scipy", "branch-bound", "simplex", "revised-simplex"):
-            res = m.solve(backend=get_backend(name), raise_on_failure=True)
-            assert res.objective == pytest.approx(9.0), name
+        # Every model-level backend must honour integrality: the LP
+        # relaxation of this knapsack peaks at 8.1667 with a = 0.833,
+        # the binary optimum is a = 1, b = 0 with objective 5.
+        m = Model("knapsack")
+        a = m.binary("a")
+        b = m.binary("b")
+        m.add(6.0 * a + 4.0 * b <= 9.0)
+        m.maximize(5.0 * a + 4.0 * b)
+        names = [n for n in available_backends() if not backend_spec(n).dispatch]
+        assert names
+        for name in names:
+            res = m.solve(backend=name, raise_on_failure=True)
+            assert res.objective == pytest.approx(5.0), name
+            assert res.value(a) == pytest.approx(1.0, abs=1e-9), name
+            assert res.value(b) == pytest.approx(0.0, abs=1e-9), name
 
 
 class TestRoundTrip:
@@ -52,12 +63,12 @@ class TestRoundTrip:
                 calls.append(sf)
 
         register_backend(
-            "test-dummy-rt", lambda **kw: Dummy(), milp=True,
+            "test-dummy-rt", lambda **kw: Dummy(),
             description="test only", replace=True,
         )
         spec = backend_spec("test-dummy-rt")
         assert isinstance(spec, BackendSpec)
-        assert spec.milp and not spec.sparse
+        assert not spec.dispatch and spec.description == "test only"
         assert isinstance(get_backend("test-dummy-rt"), Dummy)
         # Fresh instance per get_backend call.
         assert get_backend("test-dummy-rt") is not get_backend("test-dummy-rt")

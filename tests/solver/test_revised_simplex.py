@@ -121,9 +121,10 @@ class TestSizeSelection:
     def test_large_problems_go_revised(self):
         assert isinstance(lp_solver_for_size(3000, 4000), RevisedSimplexSolver)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DENSE_TABLEAU_CELLS", "10")
-        assert isinstance(lp_solver_for_size(5, 5), RevisedSimplexSolver)
+    def test_cell_limit_override(self):
+        assert isinstance(
+            lp_solver_for_size(5, 5, cell_limit=10), RevisedSimplexSolver
+        )
 
     def test_in_milp_stack(self):
         # The revised engine must be usable as the B&B's LP oracle.

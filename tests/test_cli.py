@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.solver import available_backends
 
 
 class TestParser:
@@ -224,8 +225,11 @@ class TestSolversCommand:
         out = capsys.readouterr().out
         assert "decomposition" in out
         assert "revised-simplex" in out
-        assert "milp,warm_start,sparse,dispatch" in out
-        assert "capabilities" in out
+        assert "solves" in out
+        rows = {line.split()[0]: line.split()[1] for line in out.splitlines()[1:]}
+        assert rows["decomposition"] == "dispatch"
+        assert rows["scipy"] == "model"
+        assert "scipy-lp" not in rows
 
     def test_simulate_rejects_unknown_backend(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_SOLVER_BACKEND", raising=False)
@@ -233,6 +237,17 @@ class TestSolversCommand:
             ["simulate", "--hours", "2", "--solver-backend", "nope"]
         ) == 2
         assert "unknown solver backend" in capsys.readouterr().out
+
+    def test_run_rejects_removed_scipy_lp_backend(self, capsys, monkeypatch):
+        # "scipy-lp" solved only the LP relaxation of the dispatch MILP;
+        # it is no longer a registered backend.
+        monkeypatch.delenv("REPRO_SOLVER_BACKEND", raising=False)
+        assert main(
+            ["run", "--hours", "2", "--solver-backend", "scipy-lp"]
+        ) == 2
+        out = capsys.readouterr().out
+        assert "unknown solver backend 'scipy-lp'" in out
+        assert str(available_backends()) in out
 
     def test_simulate_with_decomposition_backend(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_SOLVER_BACKEND", raising=False)

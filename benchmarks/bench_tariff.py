@@ -22,6 +22,12 @@ of ``BENCH_service.json`` and friends). Tracked numbers:
   bill equals its realized cost bit-for-bit (the tariff layer's
   default-identity contract), and the demand arm's incremental line
   items telescope exactly to ``penalty x cycle peak``.
+* **solve time** — wall time of the capped (0.85 budget) 168-h paper
+  world under ``energy+demand`` over the same run under ``energy``,
+  the two arms interleaved, median of 3. The ratio is gated at 2.0:
+  both runs share the host, so a slow runner slows both, and the
+  measured ratio sits well below the gate. The ROADMAP target of 1.5x
+  is reported as ``met`` or ``unmet``.
 
 Run as a script: ``PYTHONPATH=src python benchmarks/bench_tariff.py
 [--quick]``. CI runs quick mode and validates the JSON shape.
@@ -47,7 +53,15 @@ CRITERIA = {
     "premium_throughput_min": 1.0,
     "aware_bill_le_blind": True,
     "energy_identity_bitwise": True,
+    "demand_vs_energy_time_max": 2.0,
 }
+
+#: ROADMAP target for the demand-tariff run's wall time over the
+#: energy-only one; reported, not gated.
+DEMAND_TIME_TARGET = 1.5
+
+#: Timed repetitions per arm of the solve-time case (median taken).
+TIME_REPS = 3
 
 
 def _run_arm(tariff: str | None, monthly_budget: float | None, hours: int):
@@ -168,6 +182,59 @@ def _settlement_identity_case(quick: bool) -> dict:
     }
 
 
+def _solve_time_case() -> dict:
+    """Demand-tariff vs energy-only wall time of one capped week.
+
+    Both arms dispatch the same capped paper world (budget 0.85 of the
+    uncapped bill); only the tariff differs, so the ratio isolates what
+    the peak term costs the solver path. Arms alternate so host drift
+    hits both alike; world construction stays outside the clock. Quick
+    mode keeps the full 168 h: a shorter run is too brief to time.
+    """
+    import statistics
+    import time
+
+    from repro.experiments import paper_world
+    from repro.sim.engine import Engine
+
+    hours = 168
+    world = paper_world(1, seed=7)
+    anchor = _run_arm(None, None, hours)
+    monthly_budget = 0.85 * anchor.total_cost * world.hours / hours
+    spec = f"energy+demand:rate={DEMAND_RATE_PER_KW:g},cycle=72"
+
+    def timed(tariff: str) -> float:
+        world = paper_world(1, seed=7)
+        engine = Engine(world.sites, world.workload, world.mix)
+        budgeter = world.budgeter(monthly_budget)
+        t0 = time.perf_counter()
+        engine.run("capping", budgeter=budgeter, hours=hours, tariff=tariff)
+        return time.perf_counter() - t0
+
+    samples: dict[str, list[float]] = {"energy": [], "demand": []}
+    for _ in range(TIME_REPS):
+        samples["energy"].append(timed("energy"))
+        samples["demand"].append(timed(spec))
+    energy_s = statistics.median(samples["energy"])
+    demand_s = statistics.median(samples["demand"])
+    ratio = demand_s / energy_s
+    return {
+        "hours": hours,
+        "tariff": spec,
+        "budget_fraction": 0.85,
+        "reps": TIME_REPS,
+        "energy_s": energy_s,
+        "demand_s": demand_s,
+        "samples_s": samples,
+        "demand_vs_energy_time": ratio,
+        "roadmap_target": DEMAND_TIME_TARGET,
+        "roadmap_target_status": (
+            "met" if ratio <= DEMAND_TIME_TARGET else "unmet"
+        ),
+        "meets_criterion": ratio <= CRITERIA["demand_vs_energy_time_max"],
+    }
+
+
 def run_tariff_suite(quick: bool = False) -> dict:
     """Run all cases and return the BENCH_tariff.json payload."""
     import os
@@ -178,10 +245,11 @@ def run_tariff_suite(quick: bool = False) -> dict:
     cases = {
         "peak_shaving": _peak_shaving_case(quick),
         "settlement_identity": _settlement_identity_case(quick),
+        "solve_time": _solve_time_case(),
     }
     return {
         "benchmark": "tariff",
-        "schema_version": 1,
+        "schema_version": 2,
         "quick": quick,
         "environment": {
             "python": platform.python_version(),
@@ -237,6 +305,14 @@ def _main(argv: list[str] | None = None) -> int:
         f"{c['energy_identity_bitwise']}, demand telescopes "
         f"{c['telescope_exact']} "
         f"(${c['demand_total']:,.0f} vs ${c['penalty_times_peak']:,.0f})"
+    )
+    c = payload["cases"]["solve_time"]
+    print(
+        f"  solve time ({c['hours']}h capped, median of {c['reps']}): "
+        f"energy {c['energy_s']:.3f} s, demand {c['demand_s']:.3f} s, "
+        f"ratio {c['demand_vs_energy_time']:.2f} (gate <= "
+        f"{CRITERIA['demand_vs_energy_time_max']:g}; ROADMAP "
+        f"{c['roadmap_target']:g}x {c['roadmap_target_status']})"
     )
     print(f"  criteria met: {payload['criteria']['met']}")
     return 0 if payload["criteria"]["met"] else 1

@@ -124,7 +124,8 @@ def _apply_solver_backend(args: argparse.Namespace) -> int | None:
     The name is published via ``REPRO_SOLVER_BACKEND`` so every
     optimizer constructed anywhere inside the run (strategies build
     their own) resolves it without threading a parameter through each
-    layer. Returns an exit code on a bad name, None to proceed.
+    layer; :func:`main` puts the previous value back when the command
+    returns. Returns an exit code on a bad name, None to proceed.
     """
     name = getattr(args, "solver_backend", None)
     if not name:
@@ -1374,6 +1375,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
+    # --solver-backend reaches the optimizers through the environment
+    # (see _apply_solver_backend); scope it to this command.
+    previous_backend = os.environ.get("REPRO_SOLVER_BACKEND")
     try:
         return args.func(args)
     except BrokenPipeError:
@@ -1382,6 +1386,11 @@ def main(argv: list[str] | None = None) -> int:
         # complaining again while flushing stdout at shutdown.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    finally:
+        if previous_backend is None:
+            os.environ.pop("REPRO_SOLVER_BACKEND", None)
+        else:
+            os.environ["REPRO_SOLVER_BACKEND"] = previous_backend
 
 
 if __name__ == "__main__":  # pragma: no cover

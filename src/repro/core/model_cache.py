@@ -141,13 +141,13 @@ class _Entry:
 
     __slots__ = (
         "dm", "base", "sense_max", "slots", "patch",
-        "serve_all_row", "demand_row", "budget_row", "peak_row",
+        "serve_all_row", "demand_row", "budget_row", "peak_row", "peak_var",
         "solver", "last_x", "warm",
     )
 
     def __init__(self, dm: DispatchModel, base: StandardForm, sense_max: bool,
                  slots: list[_SiteSlots], serve_all_row, demand_row, budget_row,
-                 peak_row=None, solver_backend: str | None = None):
+                 peak_row=None, peak_var=None, solver_backend: str | None = None):
         self.dm = dm
         self.base = base
         self.sense_max = sense_max
@@ -157,14 +157,15 @@ class _Entry:
         self.demand_row = demand_row
         self.budget_row = budget_row
         self.peak_row = peak_row
+        self.peak_var = peak_var
         # Warm-started solves carry process history (the previous hour's
         # incumbent and root basis) that a checkpoint cannot, so a
         # resumed run would branch-and-bound through a different node
-        # order and land on ULP-different optima. Energy-only entries
-        # never notice — their hot path is the stateless enumeration
-        # kernel — but peak-row (demand charge) structures always reach
-        # the MILP, so they must solve cold to keep kill/resume and
-        # restart byte-identical to an uninterrupted run.
+        # order and land on ULP-different optima. Most hours never
+        # notice — their hot path is the stateless enumeration kernel —
+        # but a peak-row (demand charge) solve whose kernel attempt
+        # bails reaches the MILP, so those structures solve cold to keep
+        # kill/resume and restart byte-identical to an uninterrupted run.
         self.warm = peak_row is None
         # Private engine so its structure cache and root warm basis are
         # never thrashed by other problems; incumbents carry over hours.
@@ -266,24 +267,29 @@ class DispatchModelCache:
         objective, plus a ``peak`` row ``sum(p_i) - peak_excess <=
         peak_mw`` whose RHS is patched per solve. The penalty is part
         of the structure key, so energy-only callers hit the exact
-        pre-existing entry — and the enumeration kernel, which assumes
-        a separable bill, only runs for them.
+        pre-existing entry. The enumeration kernel answers both: under
+        the peak term its fill is returned only when its dual bound
+        certifies it (:func:`~repro.core.enum_kernel.peak_fill`), and
+        a bail falls through to the MILP on the peak-row structure.
         """
         peak_active = peak_mw is not None and peak_penalty > 0.0
         extra: tuple = (float(cost_tiebreak_weight),)
+        peak: dict = {}
         if peak_active:
             extra = (float(cost_tiebreak_weight), float(peak_penalty))
+            peak = {"peak_mw": peak_mw, "peak_penalty": peak_penalty}
         entry = self._entry(
             "throughput-max", site_hours, step_margin_frac, extra=extra
         )
-        if self.use_enum_kernel and not peak_active:
+        if self.use_enum_kernel:
             res = self._try_kernel(
                 enum_kernel.solve_throughput_max,
                 entry, site_hours, offered_rate_rps / RATE_SCALE, budget,
-                step_margin_frac, cost_tiebreak_weight,
+                step_margin_frac, cost_tiebreak_weight, **peak,
             )
             if res is not None:
-                entry.last_x = res.x
+                if entry.warm:  # a cold entry's B&B takes no seed
+                    entry.last_x = res.x
                 return self._rebound(entry, site_hours), res
         sf = self._patched(entry, site_hours, step_margin_frac)
         sf.b_ub[entry.demand_row] = offered_rate_rps / RATE_SCALE
@@ -294,18 +300,19 @@ class DispatchModelCache:
         return self._rebound(entry, site_hours), res
 
     @staticmethod
-    def _try_kernel(solver_fn, *args) -> SolveResult | None:
+    def _try_kernel(solver_fn, *args, **kwargs) -> SolveResult | None:
         """Run one enumeration-kernel attempt, instrumented like a backend.
 
         A solved hour records under ``solver.enum-kernel.*`` alongside
         the LP/MILP engines (so per-backend telemetry tables stay
         uniform) plus the ``core.enum_kernel.solved`` counter; a bail
-        records only ``core.enum_kernel.bail`` — the MILP that takes
-        over does its own solver accounting.
+        records only ``core.enum_kernel.bail`` (the kernel adds the
+        ``core.enum_kernel.bail.<reason>`` sub-counter) — the MILP that
+        takes over does its own solver accounting.
         """
         tel = get_telemetry()
         t0 = time.perf_counter()
-        res = solver_fn(*args)
+        res = solver_fn(*args, **kwargs)
         if tel.enabled:
             if res is not None:
                 tel.counter("core.enum_kernel.solved").inc()
@@ -433,6 +440,7 @@ class DispatchModelCache:
             demand_row=ub_rows.get("demand"),
             budget_row=ub_rows.get("budget"),
             peak_row=ub_rows.get("peak"),
+            peak_var=var_idx.get("peak_excess"),
             solver_backend=self.solver_backend,
         )
 

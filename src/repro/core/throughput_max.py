@@ -80,8 +80,10 @@ class ThroughputMaximizer:
         tiebreak becomes ``energy + penalty * max(0, total_power -
         peak_mw)``, linearized with one ``peak_excess`` variable — the
         maximizer then shaves new peaks whenever throughput permits.
-        The region decomposition and the enumeration kernel assume a
-        site-separable bill, so the peak term routes around both.
+        The region decomposition assumes a site-separable bill, so the
+        peak term routes around it; the compiled-model cache still
+        tries the enumeration kernel's peak fill first and solves the
+        peak-row MILP only when the kernel bails.
         """
         if offered_rate_rps < 0:
             raise ValueError("offered rate must be >= 0")

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -220,6 +222,16 @@ class TestServeCommand:
 
 
 class TestSolversCommand:
+    @pytest.fixture(autouse=True)
+    def _no_backend_env(self):
+        """Run each test with REPRO_SOLVER_BACKEND unset and put the
+        outer value back afterwards, set or unset."""
+        saved = os.environ.pop("REPRO_SOLVER_BACKEND", None)
+        yield
+        os.environ.pop("REPRO_SOLVER_BACKEND", None)
+        if saved is not None:
+            os.environ["REPRO_SOLVER_BACKEND"] = saved
+
     def test_lists_backends_with_flags(self, capsys):
         assert main(["solvers"]) == 0
         out = capsys.readouterr().out
@@ -231,17 +243,15 @@ class TestSolversCommand:
         assert rows["scipy"] == "model"
         assert "scipy-lp" not in rows
 
-    def test_simulate_rejects_unknown_backend(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVER_BACKEND", raising=False)
+    def test_simulate_rejects_unknown_backend(self, capsys):
         assert main(
             ["simulate", "--hours", "2", "--solver-backend", "nope"]
         ) == 2
         assert "unknown solver backend" in capsys.readouterr().out
 
-    def test_run_rejects_removed_scipy_lp_backend(self, capsys, monkeypatch):
+    def test_run_rejects_removed_scipy_lp_backend(self, capsys):
         # "scipy-lp" solved only the LP relaxation of the dispatch MILP;
         # it is no longer a registered backend.
-        monkeypatch.delenv("REPRO_SOLVER_BACKEND", raising=False)
         assert main(
             ["run", "--hours", "2", "--solver-backend", "scipy-lp"]
         ) == 2
@@ -249,10 +259,25 @@ class TestSolversCommand:
         assert "unknown solver backend 'scipy-lp'" in out
         assert str(available_backends()) in out
 
-    def test_simulate_with_decomposition_backend(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVER_BACKEND", raising=False)
+    def test_simulate_with_decomposition_backend(self, capsys):
         assert main(
             ["simulate", "--strategy", "min-only-avg", "--hours", "2",
              "--solver-backend", "decomposition"]
         ) == 0
         assert "total cost" in capsys.readouterr().out
+
+    def test_backend_choice_ends_with_the_command(self, capsys):
+        # --solver-backend is published through the environment for the
+        # command's optimizers only; later code in the process must not
+        # inherit it.
+        assert main(
+            ["simulate", "--strategy", "min-only-avg", "--hours", "2",
+             "--solver-backend", "decomposition"]
+        ) == 0
+        assert "REPRO_SOLVER_BACKEND" not in os.environ
+        os.environ["REPRO_SOLVER_BACKEND"] = "scipy"
+        assert main(
+            ["simulate", "--strategy", "min-only-avg", "--hours", "2",
+             "--solver-backend", "decomposition"]
+        ) == 0
+        assert os.environ["REPRO_SOLVER_BACKEND"] == "scipy"
